@@ -70,8 +70,7 @@ _CONFIG_SECTIONS = {
     "model": {f.name for f in dataclasses.fields(ModelConfig)},
     "optim": {f.name for f in dataclasses.fields(OptimConfig)},
     "synth": {f.name for f in dataclasses.fields(SynthConfig)},
-    "train": {"steps", "batch_size", "seed", "type_weights", "shuffle", "log_every",
-              "checkpoint_every"},
+    "train": {f.name for f in dataclasses.fields(TrainSettings)},
     "decode": {"lambda_token", "fusion", "context", "mode"},
     "seed": None,
 }

@@ -3,6 +3,7 @@ fusion over speech hints."""
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -11,6 +12,7 @@ import numpy as np
 
 from . import tensor as tz
 from .model import (
+    ContextBatch,
     ModelConfig,
     ModelParams,
     bias_and_combine,
@@ -39,8 +41,10 @@ class HintTrie:
         self.lambda_token = float(lambda_token)
         self.nodes: list = [TrieNode()]
         self.root = 0
+        self._boosts: dict = {}  # (state, vocab size, lambda) -> boost vector
 
     def add(self, tokens: Sequence[int]) -> None:
+        self._boosts.clear()
         node = self.root
         for tok in tokens:
             tok = int(tok)
@@ -54,6 +58,19 @@ class HintTrie:
 
     def __len__(self) -> int:
         return len(self.nodes)
+
+    def boost_vector(self, state: "FusionState", vocab_size: int) -> np.ndarray:
+        """Fusion score delta of every token from ``state``: entry v is
+        ``fusion_step(state, v, self)``'s delta for each non-blank token, 0 for
+        blank. Memoized per state until the next ``add``; treat as read-only."""
+        key = (state, vocab_size, self.lambda_token)
+        vec = self._boosts.get(key)
+        if vec is None:
+            vec = np.zeros(vocab_size)
+            for v in range(1, vocab_size):
+                vec[v] = fusion_step(state, v, self)[0]
+            self._boosts[key] = vec
+        return vec
 
 
 def build_hint_trie(hints: Sequence[Sequence[int]], lambda_token: float) -> HintTrie:
@@ -97,6 +114,35 @@ def fusion_step(state: FusionState, token: int, trie: HintTrie):
     return delta, FusionState(trie.root, 0.0)
 
 
+@dataclass
+class _ContextEntry:
+    hints: tuple
+    cfg: ModelConfig
+    weights: dict  # name -> copy of every array encode_context reads
+    audio: ContextBatch
+    joiner: ContextBatch
+
+
+def _context_batches(hints: list, params: ModelParams, cfg: ModelConfig):
+    """Audio- and joiner-side encodings of ``hints``, reused from the previous
+    call with these params while the hint list, the config and the values of
+    every array that encode_context reads are unchanged. Values are compared
+    with a stored copy, so weights updated in place (an optimizer step) force a
+    fresh encoding. One entry, kept in ``params.context_cache``."""
+    key = tuple(tuple(h) for h in hints)
+    names = [n for n in params.names() if n == "shared_embedding" or n.startswith("ctx_enc_")]
+    entry = params.context_cache
+    if (entry is not None and entry.hints == key and entry.cfg == cfg
+            and list(entry.weights) == names
+            and all(np.array_equal(entry.weights[n], params[n].data) for n in names)):
+        return entry.audio, entry.joiner
+    ctx_a = encode_context(hints, params, cfg, side="audio")
+    ctx_j = encode_context(hints, params, cfg, side="joiner")
+    params.context_cache = _ContextEntry(key, copy.copy(cfg),
+                                         {n: params[n].data.copy() for n in names}, ctx_a, ctx_j)
+    return ctx_a, ctx_j
+
+
 def greedy_decode(features: Tensor, params: ModelParams, cfg: ModelConfig,
                   hints: Optional[Sequence[Sequence[int]]] = None,
                   context_enabled: bool = True,
@@ -108,6 +154,9 @@ def greedy_decode(features: Tensor, params: ModelParams, cfg: ModelConfig,
     The context-encoder path is active whenever hints are supplied and
     context_enabled is set; shallow fusion composes independently via
     fusion_enabled, so all four hinting configurations are reachable.
+    Hint encodings are reused across calls while the hint list, the config
+    and the context-encoder weights stay the same (one dictionary, many
+    utterances); the first call with a new list pays for the encoding.
     """
     hints = [list(h) for h in (hints or [])]
     if fusion_enabled and trie is None:
@@ -118,9 +167,8 @@ def greedy_decode(features: Tensor, params: ModelParams, cfg: ModelConfig,
 
     with tz.no_grad():
         h_a = encode_audio(features, params, cfg)
-        ctx_a = encode_context(ctx_hints, params, cfg, side="audio")
+        ctx_a, ctx_j = _context_batches(ctx_hints, params, cfg)
         h_ac = bias_and_combine(h_a, ctx_a, params, cfg, "bias_audio", "combiner_audio")
-        ctx_j = encode_context(ctx_hints, params, cfg, side="joiner")
 
         tokens: list = []
         fstate = FusionState()
@@ -137,10 +185,7 @@ def greedy_decode(features: Tensor, params: ModelParams, cfg: ModelConfig,
                 m = logits.max()
                 scores = logits - (m + np.log(np.exp(logits - m).sum()))
                 if fusion_enabled:
-                    scores = scores.copy()
-                    for v in range(1, cfg.vocab_size):
-                        delta, _ = fusion_step(fstate, v, trie)
-                        scores[v] += delta
+                    scores = scores + trie.boost_vector(fstate, cfg.vocab_size)
                 best = int(np.argmax(scores))
                 if best == cfg.blank_id:
                     break

@@ -131,6 +131,8 @@ class ModelParams:
 
     def __init__(self, tensors: dict):
         self.tensors = tensors
+        # greedy_decode's reusable hint encodings for these weights
+        self.context_cache = None
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]

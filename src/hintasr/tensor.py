@@ -79,7 +79,7 @@ class Tensor:
         t = cls.__new__(cls)
         t.shape = tuple(shape)
         t.data = np.asarray(flat, dtype=np.float64).reshape(-1)
-        if t.data.size != int(np.prod(t.shape)):
+        if t.data.size != math.prod(t.shape):
             raise ShapeError(f"flat buffer of size {t.data.size} does not fit shape {t.shape}")
         t.requires_grad = bool(requires_grad)
         t.grad = None
@@ -88,7 +88,7 @@ class Tensor:
 
     @classmethod
     def zeros(cls, shape, requires_grad: bool = False) -> "Tensor":
-        return cls.from_flat(np.zeros(int(np.prod(shape)) if shape else 1), shape, requires_grad)
+        return cls.from_flat(np.zeros(math.prod(shape)), shape, requires_grad)
 
     @property
     def array(self) -> np.ndarray:
@@ -178,9 +178,13 @@ class GradTape:
 
 
 def _make(op: str, inputs: tuple, out_array: np.ndarray, backward: Callable) -> Tensor:
-    out = Tensor.from_flat(np.ascontiguousarray(out_array, dtype=np.float64).reshape(-1),
-                           out_array.shape,
-                           requires_grad=any(t.requires_grad for t in inputs))
+    # the buffer comes from the array itself, so from_flat's size check is moot
+    out = Tensor.__new__(Tensor)
+    out.shape = out_array.shape  # ascontiguousarray would turn a 0-d shape into (1,)
+    out.data = np.ascontiguousarray(out_array, dtype=np.float64).reshape(-1)
+    out.requires_grad = any(t.requires_grad for t in inputs)
+    out.grad = None
+    out.tape_id = None
     tape = _active_tape()
     if tape is not None and out.requires_grad:
         tape._record(op, inputs, out, backward)
@@ -220,8 +224,7 @@ def backward(tape: GradTape, root: Tensor) -> None:
 
 def _trailing_reduce(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum g over leading axes so it matches a trailing-broadcast operand."""
-    size = int(np.prod(shape)) if shape else 1
-    return g.reshape(-1, size).sum(axis=0).reshape(shape)
+    return g.reshape(-1, math.prod(shape)).sum(axis=0).reshape(shape)
 
 
 def _check_trailing(a: Tensor, b: Tensor, op: str) -> None:
@@ -337,7 +340,7 @@ def transpose(a: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
-    if a.size != int(np.prod(shape)):
+    if a.size != math.prod(shape):
         raise ShapeError(f"reshape: {a.shape} -> {shape}")
     out = a.array.reshape(shape)
     old = a.shape

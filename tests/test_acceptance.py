@@ -3,7 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s`. The two criteria that need a
 trained model share one session-scoped toy training run (a few minutes of CPU
 time); everything else is fast. Set HINTASR_ACCEPT_STEPS to shorten or extend
-that run (default 2200 optimizer steps).
+that run (default 2200 optimizer steps). Every test here carries the
+``acceptance`` marker, so `pytest -m "not acceptance"` runs the fast suite.
 """
 
 import json
@@ -43,6 +44,8 @@ from hintasr.model import (
 )
 from hintasr.tensor import GradTape, Tensor, backward, finite_diff_grad
 from hintasr.train import OptimConfig, TrainSettings, train_loop
+
+pytestmark = pytest.mark.acceptance
 
 ACCEPT_STEPS = int(os.environ.get("HINTASR_ACCEPT_STEPS", "2200"))
 VOCAB = Vocab.default()

@@ -1,5 +1,6 @@
 """Command surface: config handling, reproducibility, exit codes, file I/O."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 
 import hintasr.cli as cli
 from hintasr.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from hintasr.train import TrainingDiverged
+from hintasr.train import TrainingDiverged, TrainSettings
 
 SMALL_MODEL = {
     "model": {"num_encoder_layers": 1, "encoder_dim": 16, "feedforward_dim": 24,
@@ -248,3 +249,65 @@ class TestConfigHandling:
 
     def test_usage_error_on_bad_flag(self):
         assert main(["decode", "--not-a-flag"]) == EXIT_USAGE
+
+
+def _header_split(raw: bytes):
+    nl = raw.index(b"\n", len(b"SCJ1\n"))
+    return json.loads(raw[len(b"SCJ1\n"):nl]), raw[nl + 1:]
+
+
+def _without_config(raw: bytes) -> bytes:
+    header, payload = _header_split(raw)
+    del header["config"]
+    return b"SCJ1\n" + json.dumps(header).encode() + b"\n" + payload
+
+
+CORRUPT_CHECKPOINTS = {
+    "magic_only": lambda raw: b"SCJ1\n",
+    "header_cut": lambda raw: raw[:40],
+    "bad_json_header": lambda raw: b"SCJ1\n{\"config\": oops\n" + _header_split(raw)[1],
+    "header_not_object": lambda raw: b"SCJ1\n[1, 2]\n" + _header_split(raw)[1],
+    "missing_config": _without_config,
+    "truncated_array": lambda raw: raw[:-12],
+    "empty_payload": lambda raw: raw[:raw.index(b"\n", 5) + 1],
+}
+
+
+class TestCorruptCheckpoint:
+    @pytest.mark.parametrize("form", sorted(CORRUPT_CHECKPOINTS))
+    def test_decode_exits_1_with_one_line(self, workspace, tmp_path, capsys, form):
+        root, cfg_path = workspace
+        good = (root / "run" / "checkpoint.scj").read_bytes()
+        bad = tmp_path / "bad.scj"
+        bad.write_bytes(CORRUPT_CHECKPOINTS[form](good))
+        capsys.readouterr()
+        rc = main(["--config", str(cfg_path), "decode", "--checkpoint", str(bad),
+                   "--manifest", str(root / "data" / "test_manifest.jsonl"),
+                   "--out", str(tmp_path / "dec"), "--mode", "none"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "dec").exists()
+
+
+class TestTrainConfigSection:
+    def test_every_train_setting_is_settable(self):
+        assert cli._CONFIG_SECTIONS["train"] == {
+            f.name for f in dataclasses.fields(TrainSettings)}
+
+    def test_sc_consistency_weight_from_config(self, workspace, tmp_path):
+        root, _ = workspace
+        penalties = {}
+        for weight in (0.0, 10.0):
+            cfg = dict(SMALL_MODEL, train={"sc_consistency_weight": weight})
+            cfg_path = tmp_path / f"cfg-{weight}.json"
+            cfg_path.write_text(json.dumps(cfg))
+            out = tmp_path / f"run-{weight}"
+            rc = main(["--config", str(cfg_path), "train", "--data", str(root / "data"),
+                       "--out", str(out), "--steps", "2", "--batch-size", "2", "--seed", "3"])
+            assert rc == EXIT_OK
+            lines = (out / "loss_curve.jsonl").read_text().splitlines()
+            penalties[weight] = [json.loads(l)["sc_penalty"] for l in lines]
+        # the penalty is only evaluated (and logged) when its weight is positive
+        assert penalties[0.0] == [0.0, 0.0]
+        assert all(p > 0.0 for p in penalties[10.0])

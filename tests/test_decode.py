@@ -1,12 +1,19 @@
 """Hint trie, fusion bookkeeping, and greedy decoding."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hintasr.decode as decode_mod
 from conftest import TINY
 from hintasr.decode import FusionState, HintTrie, build_hint_trie, fusion_step, greedy_decode
-from hintasr.model import ModelConfig, init_params
-from hintasr.tensor import ContractError, Tensor
+from hintasr.loss import transducer_nll
+from hintasr.model import ModelConfig, encode_context, forward_grid, init_params
+from hintasr.tensor import ContractError, GradTape, Tensor, backward
+from hintasr.train import OptimConfig, OptimState, adam_step
 
 
 LAM = 0.5
@@ -199,3 +206,137 @@ class TestGreedyDecode:
         # not asserting inequality of outputs (they may coincide), only that
         # both paths run and produce token sequences
         assert isinstance(with_ctx, list) and isinstance(without_ctx, list)
+
+
+class TestBoostVector:
+    def test_memoized_until_add(self):
+        trie = build_hint_trie([[1, 2]], LAM)
+        first = trie.boost_vector(FusionState(), 5)
+        assert trie.boost_vector(FusionState(), 5) is first
+        trie.add([3])
+        fresh = trie.boost_vector(FusionState(), 5)
+        assert fresh is not first
+        assert fresh[3] == LAM and first[3] == 0.0
+
+
+hint_lists = st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=4),
+                      min_size=1, max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hints=hint_lists, stream=st.lists(st.integers(1, 6), max_size=20),
+       extra=hint_lists, add_at=st.integers(0, 20),
+       lam=st.sampled_from([0.0, 0.3, 0.5, 1.25]))
+def test_boost_vector_equals_fusion_step_deltas(hints, stream, extra, add_at, lam):
+    """Over random tries and token streams, the memoized vector from every
+    visited state equals the per-token fusion_step deltas, including after
+    hints are added to a trie whose vectors were already looked up."""
+    vocab = 8
+    trie = build_hint_trie(hints, lam)
+    state = FusionState()
+    for i, tok in enumerate(stream + [1]):
+        if i == add_at:
+            for h in extra:
+                trie.add(h)
+        vec = trie.boost_vector(state, vocab)
+        assert vec[0] == 0.0
+        for v in range(1, vocab):
+            assert vec[v] == fusion_step(state, v, trie)[0]
+        _, state = fusion_step(state, tok, trie)
+
+
+class TestContextCache:
+    """greedy_decode reuses hint encodings while the hint list, the config and
+    the context-encoder weights are unchanged, and re-encodes otherwise."""
+
+    HINTS = [[1, 2], [3, 4, 5]]
+
+    @pytest.fixture
+    def cfg(self):
+        return ModelConfig(**TINY)
+
+    @pytest.fixture
+    def params(self, cfg):
+        p = init_params(cfg, seed=11)
+        p["output.b"].data[0] = -2.0  # emit something
+        return p
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count encode_context calls made by greedy_decode."""
+        seen = []
+        original = decode_mod.encode_context
+
+        def counting(hints, params, cfg, side="joiner"):
+            seen.append((side, [list(h) for h in hints]))
+            return original(hints, params, cfg, side=side)
+
+        monkeypatch.setattr(decode_mod, "encode_context", counting)
+        return seen
+
+    def decode(self, feats, params, cfg, hints=HINTS, **kw):
+        return greedy_decode(feats, params, cfg, hints=hints, fusion_enabled=True,
+                             lambda_token=0.4, **kw)
+
+    def cold(self, feats, params, cfg, **kw):
+        params.context_cache = None
+        return self.decode(feats, params, cfg, **kw)
+
+    def test_second_decode_reuses_and_matches(self, cfg, params, rng, calls):
+        feats = Tensor(rng.normal(size=(6, cfg.feature_dim)))
+        a = self.decode(feats, params, cfg)
+        assert len(calls) == 2
+        b = self.decode(feats, params, cfg)
+        assert len(calls) == 2
+        assert a == b == self.cold(feats, params, cfg)
+
+    def test_in_place_weight_change_reencodes(self, cfg, params, rng, calls):
+        feats = Tensor(rng.normal(size=(6, cfg.feature_dim)))
+        self.decode(feats, params, cfg)
+        params["ctx_enc_joiner.l1.bwd.w_hh"].data *= 3.0
+        warm = self.decode(feats, params, cfg)
+        assert len(calls) == 4
+        ctx_j = params.context_cache.joiner.embeddings.array
+        assert warm == self.cold(feats, params, cfg)
+        fresh = encode_context(self.HINTS, params, cfg, side="joiner").embeddings.array
+        assert np.array_equal(ctx_j, fresh)
+
+    def test_adam_step_reencodes(self, cfg, params, rng, calls):
+        feats = Tensor(rng.normal(size=(6, cfg.feature_dim)))
+        self.decode(feats, params, cfg)
+        g = np.random.default_rng(3)
+        for _, t in params.items():
+            t.grad = g.normal(size=t.size)
+        assert adam_step(params, OptimState(params, OptimConfig(lr=0.05)))
+        warm = self.decode(feats, params, cfg)
+        assert len(calls) == 4
+        ctx_a = params.context_cache.audio.embeddings.array
+        assert warm == self.cold(feats, params, cfg)
+        fresh = encode_context(self.HINTS, params, cfg, side="audio").embeddings.array
+        assert np.array_equal(ctx_a, fresh)
+
+    def test_new_hint_list_or_config_reencodes(self, cfg, params, rng, calls):
+        feats = Tensor(rng.normal(size=(4, cfg.feature_dim)))
+        self.decode(feats, params, cfg)
+        self.decode(feats, params, cfg, hints=[[1, 2]])
+        assert calls[-1] == ("joiner", [[1, 2]])
+        assert len(calls) == 4
+        other = dataclasses.replace(cfg, max_sc_iters=2)
+        self.decode(feats, params, other, hints=[[1, 2]])
+        assert len(calls) == 6
+        # a config mutated in place is a new config too
+        other.sc_threshold = 1e-3
+        self.decode(feats, params, other, hints=[[1, 2]])
+        assert len(calls) == 8
+
+    def test_training_forward_never_sees_cached_tensors(self, cfg, params, rng, calls):
+        feats = Tensor(rng.normal(size=(4, cfg.feature_dim)))
+        self.decode(feats, params, cfg)
+        cached = params.context_cache.joiner.embeddings
+        params.zero_grads()
+        with GradTape() as tape:
+            grid, _ = forward_grid(feats, [1, 2], self.HINTS, params, cfg, mode="train")
+            backward(tape, transducer_nll(grid))
+        assert cached.tape_id is None and cached.grad is None
+        assert params["ctx_enc_joiner.sentinel"].grad is not None
+        assert params["ctx_enc_audio.l0.fwd.w_ih"].grad is not None

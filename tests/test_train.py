@@ -199,3 +199,47 @@ class TestCheckpoint:
                                   small_settings(steps=2), SYNTH, VOCAB, tmp_path / "r2",
                                   params=loaded, optim_state=restored)
         assert state2.step == 5
+
+
+class TestAtomicCheckpointWrite:
+    def test_failure_mid_write_keeps_old_file(self, tmp_path, monkeypatch):
+        import hintasr.checkpoint as ckpt_mod
+        path = tmp_path / "ck.scj"
+        save_checkpoint(path, init_params(CFG, seed=1), CFG, meta={"step": 1})
+        before = path.read_bytes()
+
+        class FailingFile:
+            """Writes the first few chunks through, then fails."""
+
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+                return False
+
+            def write(self, b):
+                self.writes += 1
+                if self.writes > 4:
+                    raise OSError("disk full")
+                return self.f.write(b)
+
+        real_open = open
+        monkeypatch.setattr(ckpt_mod, "open",
+                            lambda *a, **kw: FailingFile(real_open(*a, **kw)), raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, init_params(CFG, seed=2), CFG, meta={"step": 2})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.scj"]
+
+    def test_overwrite_replaces_contents(self, tmp_path):
+        path = tmp_path / "ck.scj"
+        save_checkpoint(path, init_params(CFG, seed=1), CFG, meta={"step": 1})
+        save_checkpoint(path, init_params(CFG, seed=2), CFG, meta={"step": 2})
+        loaded, _, _, meta = load_checkpoint(path)
+        assert meta == {"step": 2}
+        assert np.array_equal(loaded["joiner.wa"].array, init_params(CFG, seed=2)["joiner.wa"].array)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.scj"]
