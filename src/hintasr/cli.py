@@ -18,6 +18,7 @@ from . import tensor as tz
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import (
     ManifestEntry,
+    OovCharacterError,
     SynthConfig,
     Vocab,
     features_for_entry,
@@ -124,6 +125,16 @@ def _build_synth_config(config: dict, data_dir: Path) -> SynthConfig:
         raise UsageError(f"bad synth config: {e}")
 
 
+def _tokenize_hints(words, vocab: Vocab) -> list:
+    tokens = []
+    for w in words:
+        try:
+            tokens.append(tokenize(w, vocab))
+        except OovCharacterError as e:
+            raise UsageError(f"hint {w!r}: {e}") from None
+    return tokens
+
+
 def _require(path, what: str) -> Path:
     p = Path(path)
     if not p.exists():
@@ -160,7 +171,10 @@ def cmd_gen_data(args, config: dict) -> int:
 
 def cmd_train(args, config: dict) -> int:
     data_dir = _require(args.data, "data directory")
-    entries = read_manifest(_require(data_dir / "train_manifest.jsonl", "train manifest"))
+    manifest_path = _require(data_dir / "train_manifest.jsonl", "train manifest")
+    entries = read_manifest(manifest_path)
+    if not entries:
+        raise UsageError(f"train manifest {manifest_path} has no entries")
     negative_pool = read_wordlist(_require(data_dir / "negative_pool.txt", "negative pool"))
     vocab = Vocab.default()
     synth = _build_synth_config(config, data_dir)
@@ -230,7 +244,7 @@ def cmd_decode(args, config: dict) -> int:
             raise UsageError(f"mode {mode!r} needs --hints")
     if args.hints:
         hint_words = read_wordlist(_require(args.hints, "hints file"))
-    hint_tokens = [tokenize(w, vocab) for w in hint_words]
+    hint_tokens = _tokenize_hints(hint_words, vocab)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -282,7 +296,7 @@ def cmd_probe_convergence(args, config: dict) -> int:
     synth = _build_synth_config(config, data_dir)
     vocab = Vocab.default()
     hint_words = read_wordlist(_require(args.hints, "hints file")) if args.hints else []
-    hint_tokens = [tokenize(w, vocab) for w in hint_words]
+    hint_tokens = _tokenize_hints(hint_words, vocab)
     n_iters = args.iters
     if n_iters < 6:
         raise UsageError("probe needs --iters >= 6")
@@ -422,7 +436,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ContractError, CheckpointError) as e:
+    except (ContractError, CheckpointError, OovCharacterError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except TrainingDiverged as e:

@@ -114,6 +114,12 @@ def fusion_step(state: FusionState, token: int, trie: HintTrie):
     return delta, FusionState(trie.root, 0.0)
 
 
+# Frames scored per joiner call in greedy_decode. Frames after the first
+# emission in a block are wasted work, so an unbounded block is slower on long
+# inputs: on a 328-frame input it took twice as long as 16-frame blocks.
+_BLOCK_FRAMES = 16
+
+
 @dataclass
 class _ContextEntry:
     hints: tuple
@@ -143,13 +149,17 @@ def _context_batches(hints: list, params: ModelParams, cfg: ModelConfig):
     return ctx_a, ctx_j
 
 
+def _last_row(x: Tensor) -> Tensor:
+    return tz.slice_rows(x, x.shape[0] - 1, x.shape[0])
+
+
 def greedy_decode(features: Tensor, params: ModelParams, cfg: ModelConfig,
                   hints: Optional[Sequence[Sequence[int]]] = None,
                   context_enabled: bool = True,
                   fusion_enabled: bool = False,
                   lambda_token: float = 0.3,
                   trie: Optional[HintTrie] = None) -> list:
-    """Greedy per-frame decoding; returns the emitted token id sequence.
+    """Greedy decoding; returns the emitted token id sequence.
 
     The context-encoder path is active whenever hints are supplied and
     context_enabled is set; shallow fusion composes independently via
@@ -157,6 +167,13 @@ def greedy_decode(features: Tensor, params: ModelParams, cfg: ModelConfig,
     Hint encodings are reused across calls while the hint list, the config
     and the context-encoder weights stay the same (one dictionary, many
     utterances); the first call with a new list pays for the encoding.
+
+    The loop runs over labels, not frames: for the current token history it
+    scores a block of up to ``_BLOCK_FRAMES`` frames in one joiner call and
+    emits at the first frame whose best token is not blank. Blanks change
+    neither the predictor row nor the fusion state, so the frames before it
+    are exactly the blanks a frame-by-frame loop would take, and the result
+    is the same transcript (logits agree to rounding, not bit for bit).
     """
     hints = [list(h) for h in (hints or [])]
     if fusion_enabled and trie is None:
@@ -173,24 +190,32 @@ def greedy_decode(features: Tensor, params: ModelParams, cfg: ModelConfig,
         tokens: list = []
         fstate = FusionState()
         t_len = features.shape[0]
-        for t in range(t_len):
-            h_ac_t = tz.reshape(tz.slice_rows(h_ac, t, t + 1), (cfg.encoder_dim,))
-            emitted = 0
-            while emitted < cfg.max_symbols_per_frame:
-                h_d = predict_labels(tokens, params, cfg)
-                h_d_u = tz.reshape(tz.slice_rows(h_d, h_d.shape[0] - 1, h_d.shape[0]),
-                                   (cfg.joiner_dim,))
-                z, _ = self_consistent_joiner(h_ac_t, h_d_u, ctx_j, params, cfg, mode="infer")
-                logits = output_logits(z, params).array
-                m = logits.max()
-                scores = logits - (m + np.log(np.exp(logits - m).sum()))
-                if fusion_enabled:
-                    scores = scores + trie.boost_vector(fstate, cfg.vocab_size)
-                best = int(np.argmax(scores))
-                if best == cfg.blank_id:
-                    break
-                tokens.append(best)
-                if fusion_enabled:
-                    _, fstate = fusion_step(fstate, best, trie)
-                emitted += 1
+        t, emitted = 0, 0  # current frame, symbols emitted at it
+        h_d_u = _last_row(predict_labels(tokens, params, cfg))
+        while t < t_len:
+            if emitted >= cfg.max_symbols_per_frame:
+                t, emitted = t + 1, 0
+                continue
+            hi = min(t + _BLOCK_FRAMES, t_len)
+            z, _ = self_consistent_joiner(tz.slice_rows(h_ac, t, hi),
+                                          tz.repeat_rows(h_d_u, hi - t),
+                                          ctx_j, params, cfg, mode="infer")
+            logits = output_logits(z, params).array
+            m = logits.max(axis=1, keepdims=True)
+            scores = logits - (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))
+            if fusion_enabled:
+                scores = scores + trie.boost_vector(fstate, cfg.vocab_size)
+            best = scores.argmax(axis=1)
+            hits = np.flatnonzero(best != cfg.blank_id)
+            if not hits.size:
+                t, emitted = hi, 0
+                continue
+            r = int(hits[0])
+            if r:
+                t, emitted = t + r, 0
+            tokens.append(int(best[r]))
+            if fusion_enabled:
+                _, fstate = fusion_step(fstate, tokens[-1], trie)
+            emitted += 1
+            h_d_u = _last_row(predict_labels(tokens, params, cfg))
     return tokens

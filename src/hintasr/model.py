@@ -111,7 +111,10 @@ class ScDiagnostics:
     """Per-iteration convergence record of the self-consistent loop.
 
     ``iterates`` keeps the tape tensors [z_init, z_1, ..., z_n] so training
-    can penalize disagreement between consecutive refinements.
+    can penalize disagreement between consecutive refinements. In infer mode
+    ``row_iterations`` and ``row_converged`` hold each row's own iteration
+    count and stop flag (one entry per cell of a batched call); they stay
+    empty in train mode.
     """
 
     max_diffs: list = field(default_factory=list)
@@ -119,6 +122,8 @@ class ScDiagnostics:
     iterations_run: int = 0
     converged: bool = False
     iterates: list = field(default_factory=list)
+    row_iterations: list = field(default_factory=list)
+    row_converged: list = field(default_factory=list)
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -447,34 +452,52 @@ def run_sc_loop(z_init: Tensor,
                 max_iters: int,
                 threshold: float,
                 train: bool):
-    """Shared runner for the self-consistent recursion.
+    """Shared runner for the self-consistent recursion over the rows of z_init.
 
     Each iteration: attend (bias_fn), combine, refine (the joiner, or identity
     for the joiner-free variant). The stopping statistic is abs(mean(z - z_prev));
     the loop never exits before iteration 2 and in train mode runs exactly
     ``max_iters`` iterations with no early exit, keeping the final two iterates
     available for a consistency penalty.
+
+    In infer mode each row has its own early exit, on the statistic over that
+    row alone. Rows do not interact through attention, layer norm or the
+    linear maps, so a row follows the schedule it would follow alone; once it
+    stops it keeps that iterate (a 0/1 mask merge, exact and on the tape). The
+    loop ends when every row has stopped. ``mean_diffs``/``max_diffs`` cover
+    all rows, ``iterations_run`` is the maximum over rows and ``converged``
+    means every row stopped.
     """
     if max_iters < 1 or threshold <= 0:
         raise ContractError("run_sc_loop: need max_iters >= 1 and threshold > 0")
     diag = ScDiagnostics()
+    live = np.ones(z_init.shape[0] if len(z_init.shape) == 2 else 1, dtype=bool)
+    row_iters = np.zeros(live.size, dtype=int)
     z = z_init
     z_prev = z.data.copy()
     diag.iterates.append(z_init)
     for n in range(1, max_iters + 1):
-        attended = bias_fn(z)
-        z0 = combine_fn(z, attended)
-        z = refine_fn(z0)
+        z_new = refine_fn(combine_fn(z, bias_fn(z)))
+        if not live.all():
+            keep = np.repeat(live[:, None].astype(np.float64), z.shape[1], axis=1)
+            z_new = tz.add(tz.mul(z_new, Tensor(keep)), tz.mul(z, Tensor(1.0 - keep)))
+        z = z_new
         diag.iterates.append(z)
         diff = z.data - z_prev
-        mean_diff = float(diff.mean())
-        diag.mean_diffs.append(mean_diff)
+        diag.mean_diffs.append(float(diff.mean()))
         diag.max_diffs.append(float(np.abs(diff).max()))
         diag.iterations_run = n
-        if (not train) and n > 1 and abs(mean_diff) < threshold:
-            diag.converged = True
-            break
+        if not train:
+            row_iters[live] = n
+            if n > 1:
+                live &= ~(np.abs(diff.reshape(live.size, -1).mean(axis=1)) < threshold)
+                if not live.any():
+                    break
         z_prev = z.data.copy()
+    if not train:
+        diag.converged = not live.any()
+        diag.row_iterations = row_iters.tolist()
+        diag.row_converged = (~live).tolist()
     return z, diag
 
 
@@ -505,8 +528,9 @@ def self_consistent_joiner(h_ac_t: Tensor, h_d_u: Tensor, ctx: ContextBatch,
     """Solve the joiner/biasing/combiner recursion for one (t, u) cell.
 
     Returns the converged joiner output [joiner_dim] and per-iteration
-    diagnostics. Accepts batched [n, dim] inputs too, in which case all cells
-    share the iteration schedule (used by the training grid).
+    diagnostics. Accepts batched [n, dim] inputs too: in train mode all cells
+    share the fixed schedule (the training grid), in infer mode each row stops
+    on its own (a block of frames in greedy decoding).
     """
     if mode not in ("train", "infer"):
         raise ContractError(f"self_consistent_joiner: mode must be train|infer, got {mode!r}")

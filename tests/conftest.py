@@ -1,3 +1,10 @@
+import os
+
+# BLAS must be pinned before numpy is first imported: multi-threaded matmuls
+# sum in another order, and the acceptance model depends on that rounding.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +272,51 @@ CORRUPT_CHECKPOINTS = {
     "truncated_array": lambda raw: raw[:-12],
     "empty_payload": lambda raw: raw[:raw.index(b"\n", 5) + 1],
 }
+
+
+class TestBadOperatorInput:
+    def test_oov_hint_is_one_line_usage_error(self, workspace, tmp_path, capsys):
+        root, cfg_path = workspace
+        hints = tmp_path / "hints.txt"
+        hints.write_text("cat\nzo\u00eb\n", encoding="utf-8")
+        capsys.readouterr()
+        rc = main(["--config", str(cfg_path), "decode",
+                   "--checkpoint", str(root / "run" / "checkpoint.scj"),
+                   "--manifest", str(root / "data" / "test_manifest.jsonl"),
+                   "--hints", str(hints), "--mode", "both", "--out", str(tmp_path / "dec")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "zo\u00eb" in err
+        assert not (tmp_path / "dec").exists()
+
+    def test_oov_transcript_is_one_line_usage_error(self, workspace, tmp_path, capsys):
+        root, cfg_path = workspace
+        manifest = tmp_path / "test_manifest.jsonl"
+        manifest.write_text(json.dumps({"utterance_id": "u0", "text": "zo\u00eb", "seed": 1})
+                            + "\n", encoding="utf-8")
+        capsys.readouterr()
+        rc = main(["--config", str(cfg_path), "decode",
+                   "--checkpoint", str(root / "run" / "checkpoint.scj"),
+                   "--manifest", str(manifest), "--mode", "none",
+                   "--out", str(tmp_path / "dec")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_empty_train_manifest_rejected_before_any_step(self, workspace, tmp_path, capsys):
+        root, cfg_path = workspace
+        data = tmp_path / "data"
+        shutil.copytree(root / "data", data)
+        (data / "train_manifest.jsonl").write_text("", encoding="utf-8")
+        capsys.readouterr()
+        rc = main(["--config", str(cfg_path), "train", "--data", str(data),
+                   "--out", str(tmp_path / "run"), "--steps", "2"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "train_manifest.jsonl" in err and "no entries" in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestCorruptCheckpoint:

@@ -9,9 +9,20 @@ from hypothesis import strategies as st
 
 import hintasr.decode as decode_mod
 from conftest import TINY
+from hintasr import tensor as tz
 from hintasr.decode import FusionState, HintTrie, build_hint_trie, fusion_step, greedy_decode
 from hintasr.loss import transducer_nll
-from hintasr.model import ModelConfig, encode_context, forward_grid, init_params
+from hintasr.model import (
+    ModelConfig,
+    bias_and_combine,
+    encode_audio,
+    encode_context,
+    forward_grid,
+    init_params,
+    output_logits,
+    predict_labels,
+    self_consistent_joiner,
+)
 from hintasr.tensor import ContractError, GradTape, Tensor, backward
 from hintasr.train import OptimConfig, OptimState, adam_step
 
@@ -206,6 +217,86 @@ class TestGreedyDecode:
         # not asserting inequality of outputs (they may coincide), only that
         # both paths run and produce token sequences
         assert isinstance(with_ctx, list) and isinstance(without_ctx, list)
+
+
+def frame_by_frame_decode(features, params, cfg, hints=(), context_enabled=True,
+                          fusion_enabled=False, lambda_token=0.3):
+    """Reference greedy decoder: one joiner call per (frame, emission attempt),
+    the loop that block decoding replaced."""
+    hints = [list(h) for h in hints]
+    trie = build_hint_trie(hints, lambda_token) if fusion_enabled else None
+    ctx_hints = hints if context_enabled else []
+    tokens, fstate = [], FusionState()
+    with tz.no_grad():
+        h_a = encode_audio(features, params, cfg)
+        ctx_a = encode_context(ctx_hints, params, cfg, side="audio")
+        ctx_j = encode_context(ctx_hints, params, cfg, side="joiner")
+        h_ac = bias_and_combine(h_a, ctx_a, params, cfg, "bias_audio", "combiner_audio")
+        for t in range(features.shape[0]):
+            h_ac_t = tz.reshape(tz.slice_rows(h_ac, t, t + 1), (cfg.encoder_dim,))
+            for _ in range(cfg.max_symbols_per_frame):
+                h_d = predict_labels(tokens, params, cfg)
+                h_d_u = tz.reshape(tz.slice_rows(h_d, len(tokens), len(tokens) + 1),
+                                   (cfg.joiner_dim,))
+                z, _ = self_consistent_joiner(h_ac_t, h_d_u, ctx_j, params, cfg, mode="infer")
+                scores = tz.log_softmax_last(output_logits(z, params)).array
+                if fusion_enabled:
+                    scores = scores + trie.boost_vector(fstate, cfg.vocab_size)
+                best = int(np.argmax(scores))
+                if best == cfg.blank_id:
+                    break
+                tokens.append(best)
+                if fusion_enabled:
+                    _, fstate = fusion_step(fstate, best, trie)
+    return tokens
+
+
+class TestBlockDecodeOracle:
+    """Block decoding emits exactly what frame-by-frame decoding emits."""
+
+    @staticmethod
+    def model(seed, blank_bias, max_symbols):
+        cfg = ModelConfig(**TINY, max_symbols_per_frame=max_symbols)
+        params = init_params(cfg, seed=seed)
+        params["output.b"].data[0] += blank_bias
+        return params, cfg
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**16), frames=st.integers(1, 40),
+           blank_bias=st.sampled_from([-40.0, -4.0, -2.0, -1.0, 0.0, 1.0, 3.0]),
+           max_symbols=st.integers(1, 4),
+           hints=st.lists(st.lists(st.integers(1, TINY["vocab_size"] - 1),
+                                   min_size=1, max_size=4), max_size=3),
+           context=st.booleans(), fusion=st.booleans(),
+           lam=st.sampled_from([0.0, 0.3, 1.5]))
+    def test_transcripts_equal_frame_by_frame(self, seed, frames, blank_bias, max_symbols,
+                                              hints, context, fusion, lam):
+        if fusion and not hints:
+            hints = [[1, 2]]
+        params, cfg = self.model(seed, blank_bias, max_symbols)
+        feats = Tensor(np.random.default_rng(seed).normal(size=(frames, cfg.feature_dim)))
+        kw = dict(hints=hints, context_enabled=context, fusion_enabled=fusion, lambda_token=lam)
+        assert greedy_decode(feats, params, cfg, **kw) == \
+            frame_by_frame_decode(feats, params, cfg, **kw)
+
+    @pytest.mark.parametrize("seed,blank_bias", [(57, -1.0), (58, 0.0)])
+    def test_cap_counts_from_the_emitting_frame(self, seed, blank_bias):
+        # these inputs emit at frame t, then blank at t, then emit twice at a
+        # later frame of the same block; a count carried over from frame t
+        # would cap that later frame one symbol early
+        params, cfg = self.model(seed, blank_bias, max_symbols=2)
+        feats = Tensor(np.random.default_rng(seed).normal(size=(30, cfg.feature_dim)))
+        assert greedy_decode(feats, params, cfg) == frame_by_frame_decode(feats, params, cfg)
+
+    @pytest.mark.parametrize("fusion", [False, True])
+    def test_emission_cap_across_blocks(self, fusion):
+        # blank never wins, so every one of 37 frames (three blocks) hits the cap
+        params, cfg = self.model(seed=8, blank_bias=-40.0, max_symbols=2)
+        feats = Tensor(np.random.default_rng(8).normal(size=(37, cfg.feature_dim)))
+        kw = dict(hints=[[1, 2], [3]], fusion_enabled=fusion, lambda_token=0.5)
+        out = greedy_decode(feats, params, cfg, **kw)
+        assert len(out) == 37 * 2
+        assert out == frame_by_frame_decode(feats, params, cfg, **kw)
 
 
 class TestBoostVector:

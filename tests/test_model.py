@@ -432,6 +432,115 @@ class TestSelfConsistentJoiner:
         assert len(diag.mean_diffs) == len(diag.max_diffs) == diag.iterations_run == 4
 
 
+def _reference_sc_loop(z_init, bias_fn, combine_fn, refine_fn, max_iters, threshold, train):
+    """The loop with one shared schedule for all rows, as it was before infer
+    mode gave each row its own early exit."""
+    diag = ScDiagnostics()
+    z = z_init
+    z_prev = z.data.copy()
+    diag.iterates.append(z_init)
+    for n in range(1, max_iters + 1):
+        z = refine_fn(combine_fn(z, bias_fn(z)))
+        diag.iterates.append(z)
+        diff = z.data - z_prev
+        diag.mean_diffs.append(float(diff.mean()))
+        diag.max_diffs.append(float(np.abs(diff).max()))
+        diag.iterations_run = n
+        if not train and n > 1 and abs(diag.mean_diffs[-1]) < threshold:
+            diag.converged = True
+            break
+        z_prev = z.data.copy()
+    return z, diag
+
+
+class TestPerRowEarlyExit:
+    """Infer mode over several rows: every row stops on its own statistic and
+    ends where its own single-row call ends. Train mode and single-row infer
+    keep the shared schedule, op for op."""
+
+    HINTS = [[1, 2], [3]]
+
+    def inputs(self, cfg, params, rng, n, saturated=(), requires_grad=False):
+        h_ac = rng.uniform(-1, 1, size=(n, cfg.encoder_dim))
+        # a huge joiner pre-activation saturates tanh to exactly +-1, so such a
+        # row is fixed from the first iterate and stops at iteration 2
+        h_ac[list(saturated)] *= 1e6
+        h_d = rng.uniform(-1, 1, size=(n, cfg.joiner_dim))
+        ctx = encode_context(self.HINTS, params, cfg, side="joiner")
+        return Tensor(h_ac, requires_grad=requires_grad), Tensor(h_d), ctx
+
+    def block_and_singles(self, cfg, params, h_ac, h_d, ctx, **kw):
+        with tz.no_grad():
+            z, diag = self_consistent_joiner(h_ac, h_d, ctx, params, cfg, mode="infer", **kw)
+            singles = [self_consistent_joiner(tz.slice_rows(h_ac, i, i + 1),
+                                              tz.slice_rows(h_d, i, i + 1),
+                                              ctx, params, cfg, mode="infer", **kw)
+                       for i in range(h_ac.shape[0])]
+        return z, diag, singles
+
+    @pytest.mark.parametrize("saturated", [(), (0, 2, 3), (4,), (0, 1, 2, 3, 4)])
+    def test_stopped_rows_keep_their_iterate(self, cfg, params, rng, saturated):
+        h_ac, h_d, ctx = self.inputs(cfg, params, rng, 5, saturated)
+        z, diag, singles = self.block_and_singles(cfg, params, h_ac, h_d, ctx,
+                                                  max_iters=5, threshold=1e-13)
+        expected = [2 if i in saturated else 5 for i in range(5)]
+        assert [d.iterations_run for _, d in singles] == expected
+        assert diag.row_iterations == expected
+        assert diag.row_converged == [i in saturated for i in range(5)]
+        assert diag.iterations_run == max(expected)
+        assert diag.converged == (len(saturated) == 5)
+        assert len(diag.mean_diffs) == len(diag.max_diffs) == diag.iterations_run
+        for i, (z_i, _) in enumerate(singles):
+            assert np.allclose(z.array[i], z_i.array[0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("threshold", [1e-1, 3e-2, 1e-2])
+    def test_rows_follow_their_own_schedule(self, cfg, seed, threshold):
+        params = init_params(cfg, seed=seed)
+        rng = np.random.default_rng(seed)
+        h_ac, h_d, ctx = self.inputs(cfg, params, rng, 9)
+        z, diag, singles = self.block_and_singles(cfg, params, h_ac, h_d, ctx,
+                                                  max_iters=6, threshold=threshold)
+        assert diag.row_iterations == [d.iterations_run for _, d in singles]
+        assert diag.row_converged == [d.converged for _, d in singles]
+        assert diag.iterations_run == max(diag.row_iterations)
+        assert diag.converged == all(diag.row_converged)
+        for i, (z_i, _) in enumerate(singles):
+            assert np.allclose(z.array[i], z_i.array[0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode,rows,threshold", [
+        ("train", 1, 1e-13), ("train", 6, 1e-13), ("train", 6, 1.0),
+        ("infer", 1, 1e-13), ("infer", 1, 1e-1)])
+    def test_shared_schedule_unchanged(self, cfg, params, rng, mode, rows, threshold):
+        from hintasr.model import _joiner_side_fns
+        h_ac, h_d, ctx = self.inputs(cfg, params, rng, rows, requires_grad=True)
+        probe = Tensor(rng.uniform(-1, 1, size=(rows, cfg.joiner_dim)))
+        runs = []
+        for loop in (run_sc_loop, _reference_sc_loop):
+            h_ac.zero_grad()
+            with GradTape() as tape:
+                fns = _joiner_side_fns(h_ac, ctx, params, cfg)
+                z_init = joiner_step(h_ac, h_d, params)
+                z, diag = loop(z_init, *fns, max_iters=4, threshold=threshold,
+                               train=(mode == "train"))
+                backward(tape, tz.sum_all(tz.mul(z, probe)))
+            runs.append((z.array.copy(), diag, [node.op for node in tape.nodes],
+                         h_ac.grad.copy()))
+        (z_a, d_a, ops_a, g_a), (z_b, d_b, ops_b, g_b) = runs
+        assert ops_a == ops_b
+        assert np.array_equal(z_a, z_b) and np.array_equal(g_a, g_b)
+        assert d_a.mean_diffs == d_b.mean_diffs and d_a.max_diffs == d_b.max_diffs
+        assert (d_a.iterations_run, d_a.converged) == (d_b.iterations_run, d_b.converged)
+        assert all(np.array_equal(a.array, b.array)
+                   for a, b in zip(d_a.iterates, d_b.iterates, strict=True))
+        if mode == "train":
+            assert d_a.row_iterations == d_a.row_converged == []
+        else:
+            assert d_a.converged == (threshold > 1e-3)  # both exits are covered
+            assert d_a.row_iterations == [d_a.iterations_run]
+            assert d_a.row_converged == [d_a.converged]
+
+
 class TestForwardGrid:
     def test_minimal_shape(self, cfg, params, rng):
         feats = random_tensor(rng, (1, cfg.feature_dim), requires_grad=False)
