@@ -290,6 +290,10 @@ def cmd_eval(args, config: dict) -> int:
 
 
 def cmd_probe_convergence(args, config: dict) -> int:
+    if args.iters < 6:
+        raise UsageError("probe needs --iters >= 6")
+    if args.resamples < 2 or args.cells < 1:
+        raise UsageError("probe needs --resamples >= 2 (for a confidence interval), --cells >= 1")
     params, model_cfg, _, _ = load_checkpoint(_require(args.checkpoint, "checkpoint"))
     entries = read_manifest(_require(args.manifest, "manifest"))
     data_dir = Path(args.manifest).parent
@@ -298,12 +302,12 @@ def cmd_probe_convergence(args, config: dict) -> int:
     hint_words = read_wordlist(_require(args.hints, "hints file")) if args.hints else []
     hint_tokens = _tokenize_hints(hint_words, vocab)
     n_iters = args.iters
-    if n_iters < 6:
-        raise UsageError("probe needs --iters >= 6")
 
     rng = np.random.default_rng(args.seed)
     per_trial_mean = np.zeros((args.resamples, n_iters))
     per_trial_max = np.zeros((args.resamples, n_iters))
+    # cells whose inference-mode loop (threshold sc_threshold) has exited by iteration n
+    exited_by = np.zeros(n_iters)
     with tz.no_grad():
         for trial in range(args.resamples):
             mean_acc = np.zeros(n_iters)
@@ -330,6 +334,10 @@ def cmd_probe_convergence(args, config: dict) -> int:
                                                      max_iters=n_iters)
                     mean_acc += np.array(diag.mean_diffs)
                     max_acc += np.array(diag.max_diffs)
+                    _, idiag = self_consistent_joiner(h_ac_t, h_d_u, ctx_j, params, model_cfg,
+                                                      mode="infer", max_iters=n_iters)
+                    if idiag.converged:
+                        exited_by[idiag.iterations_run - 1:] += 1
                     cells += 1
             per_trial_mean[trial] = mean_acc / cells
             per_trial_max[trial] = max_acc / cells
@@ -348,12 +356,14 @@ def cmd_probe_convergence(args, config: dict) -> int:
             "max_diff_ci95": float(t_crit * mm.std(ddof=1) / np.sqrt(args.resamples)),
             "avg_mean_diff": float(me.mean()),
             "mean_diff_ci95": float(t_crit * me.std(ddof=1) / np.sqrt(args.resamples)),
+            "exited_frac": float(exited_by[n] / (args.resamples * args.cells)),
         })
-    header = f"{'iter':>4}  {'avg max diff':>14}  {'ci95':>10}  {'avg mean diff':>14}  {'ci95':>10}"
-    print(header)
+    print(f"{'iter':>4}  {'avg max diff':>14}  {'ci95':>10}  {'avg mean diff':>14}  {'ci95':>10}"
+          f"  {'exited':>7}")
     for r in rows:
         print(f"{r['iteration']:>4}  {r['avg_max_diff']:>14.4e}  {r['max_diff_ci95']:>10.2e}"
-              f"  {r['avg_mean_diff']:>14.4e}  {r['mean_diff_ci95']:>10.2e}")
+              f"  {r['avg_mean_diff']:>14.4e}  {r['mean_diff_ci95']:>10.2e}"
+              f"  {r['exited_frac']:>7.1%}")
     if args.out:
         Path(args.out).write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
     return EXIT_OK
@@ -433,14 +443,15 @@ def main(argv=None) -> int:
         if args.verbose:
             logging.getLogger().setLevel(logging.DEBUG)
         return args.func(args, config)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ContractError, CheckpointError, OovCharacterError) as e:
+    except (UsageError, ContractError, CheckpointError, OovCharacterError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except TrainingDiverged as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except FloatingPointError as e:
+        print(f"error: non-finite value in a forward pass ({e}); check the checkpoint's weights",
+              file=sys.stderr)
         return EXIT_RUNTIME
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)

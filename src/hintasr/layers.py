@@ -1,13 +1,11 @@
-"""Neural building blocks: linear, norm, embedding, convolutions, BLSTM, and
-the multi-head cross-attention used to attend over speech-hint embeddings."""
+"""Neural building blocks: linear, swish/GLU, BLSTM, and the one multi-head
+attention used for encoder self-attention and both hint-biasing attentions."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import Optional
 
 from . import tensor as tz
 from .tensor import ContractError, ShapeError, Tensor
@@ -21,23 +19,6 @@ def linear_forward(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         out = tz.matmul(tz.reshape(x, (1, x.shape[0])), w)
         return tz.reshape(tz.add(out, b), (w.shape[1],))
     return tz.add(tz.matmul(x, w), b)
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    return tz.layer_norm(x, gamma, beta, eps)
-
-
-def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Gather embedding rows; gradients scatter-add back into the table."""
-    vocab = table.shape[0]
-    for i in ids:
-        if not (0 <= int(i) < vocab):
-            raise IndexError(f"embedding id {int(i)} out of range [0, {vocab})")
-    return tz.take_rows(table, np.asarray(list(ids), dtype=np.int64))
-
-
-def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    return tz.causal_conv1d(x, kernel, bias)
 
 
 def swish(x: Tensor) -> Tensor:
@@ -78,21 +59,26 @@ class AttentionWeights:
                 f"AttentionWeights: {self.num_heads} heads x {self.head_dim} != model dim {model_dim}")
 
 
-def multi_head_cross_attention(q_in: Tensor, k_in: Tensor, weights: AttentionWeights) -> Tensor:
-    """Attention with q_in as queries and k_in as both keys and values.
+def multi_head_attention(q_in: Tensor, kv_in: Tensor, weights: AttentionWeights,
+                         mask: Optional[Tensor] = None) -> Tensor:
+    """Attention with q_in as queries and kv_in as both keys and values.
 
-    Per head: softmax((Q Wq)(K Wk)^T / sqrt(head_dim)) (K Wv). Head outputs
-    are concatenated along the feature dim with no output projection.
+    Per head: softmax((Q Wq)(K Wk)^T / sqrt(head_dim) + mask) (K Wv). Head
+    outputs are concatenated along the feature dim with no output projection.
+    Self-attention passes the same rows twice; an additive mask (NEG_CAP
+    entries) hides keys from queries.
     """
-    if len(k_in.shape) != 2 or k_in.shape[0] < 1:
-        raise ContractError(f"multi_head_cross_attention: need at least one key row, got {k_in.shape}")
+    if len(kv_in.shape) != 2 or kv_in.shape[0] < 1:
+        raise ContractError(f"multi_head_attention: need at least one key row, got {kv_in.shape}")
     inv_sqrt_d = 1.0 / math.sqrt(weights.head_dim)
     heads = []
     for h in range(weights.num_heads):
         q = tz.matmul(q_in, weights.w_q[h])
-        k = tz.matmul(k_in, weights.w_k[h])
-        v = tz.matmul(k_in, weights.w_v[h])
+        k = tz.matmul(kv_in, weights.w_k[h])
+        v = tz.matmul(kv_in, weights.w_v[h])
         scores = tz.scale(tz.matmul(q, tz.transpose(k)), inv_sqrt_d)
+        if mask is not None:
+            scores = tz.add(scores, mask)
         heads.append(tz.matmul(tz.softmax_last(scores), v))
     return tz.concat_last(heads)
 

@@ -26,12 +26,9 @@ from .layers import (
     AttentionWeights,
     LstmCellWeights,
     blstm_encode,
-    causal_conv1d,
-    embedding_lookup,
     glu_last,
-    layer_norm,
     linear_forward,
-    multi_head_cross_attention,
+    multi_head_attention,
     swish,
 )
 from .tensor import ContractError, NEG_CAP, ShapeError, Tensor
@@ -307,29 +304,22 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
 
 
 def _feed_forward(x: Tensor, params: ModelParams, p: str) -> Tensor:
-    h = layer_norm(x, params[f"{p}.ln.g"], params[f"{p}.ln.b"], LN_EPS)
+    h = tz.layer_norm(x, params[f"{p}.ln.g"], params[f"{p}.ln.b"], LN_EPS)
     h = swish(linear_forward(h, params[f"{p}.w1"], params[f"{p}.b1"]))
     return linear_forward(h, params[f"{p}.w2"], params[f"{p}.b2"])
 
 
 def _causal_self_attention(x: Tensor, params: ModelParams, p: str, cfg: ModelConfig,
                            mask: Tensor) -> Tensor:
-    h = layer_norm(x, params[f"{p}.ln.g"], params[f"{p}.ln.b"], LN_EPS)
+    h = tz.layer_norm(x, params[f"{p}.ln.g"], params[f"{p}.ln.b"], LN_EPS)
     heads = cfg.self_attention_heads
-    head_dim = cfg.encoder_dim // heads
-    inv = 1.0 / math.sqrt(head_dim)
-    outs = []
-    for i in range(heads):
-        q = tz.matmul(h, params[f"{p}.q{i}"])
-        k = tz.matmul(h, params[f"{p}.k{i}"])
-        v = tz.matmul(h, params[f"{p}.v{i}"])
-        scores = tz.add(tz.scale(tz.matmul(q, tz.transpose(k)), inv), mask)
-        outs.append(tz.matmul(tz.softmax_last(scores), v))
-    return linear_forward(tz.concat_last(outs), params[f"{p}.out.w"], params[f"{p}.out.b"])
+    weights = params.attention(p, heads, cfg.encoder_dim // heads)
+    return linear_forward(multi_head_attention(h, h, weights, mask),
+                          params[f"{p}.out.w"], params[f"{p}.out.b"])
 
 
 def _conv_module(x: Tensor, params: ModelParams, p: str) -> Tensor:
-    h = layer_norm(x, params[f"{p}.ln.g"], params[f"{p}.ln.b"], LN_EPS)
+    h = tz.layer_norm(x, params[f"{p}.ln.g"], params[f"{p}.ln.b"], LN_EPS)
     h = glu_last(linear_forward(h, params[f"{p}.pw1.w"], params[f"{p}.pw1.b"]))
     h = tz.depthwise_causal_conv1d(h, params[f"{p}.dw.k"], params[f"{p}.dw.b"])
     h = swish(h)
@@ -355,7 +345,7 @@ def encode_audio(features: Tensor, params: ModelParams, cfg: ModelConfig) -> Ten
         x = tz.add(x, _causal_self_attention(x, params, f"{p}.attn", cfg, mask))
         x = tz.add(x, _conv_module(x, params, f"{p}.conv"))
         x = tz.add(x, tz.scale(_feed_forward(x, params, f"{p}.ff2"), 0.5))
-        x = layer_norm(x, params[f"{p}.final_ln.g"], params[f"{p}.final_ln.b"], LN_EPS)
+        x = tz.layer_norm(x, params[f"{p}.final_ln.g"], params[f"{p}.final_ln.b"], LN_EPS)
     return x
 
 
@@ -383,29 +373,32 @@ def encode_context(hints: Sequence[Sequence[int]], params: ModelParams, cfg: Mod
     ctx_out = 2 * cfg.context_dim
     rows = [tz.reshape(params[f"{prefix}.sentinel"], (1, ctx_out))]
     for h in hints:
-        emb = embedding_lookup(params["shared_embedding"], h)
+        emb = tz.take_rows(params["shared_embedding"], h)
         vec = blstm_encode(emb, fwd, bwd)
         rows.append(tz.reshape(vec, (1, ctx_out)))
     emb_matrix = rows[0] if len(rows) == 1 else tz.concat_rows(rows)
     if cfg.context_layernorm_enabled:
-        emb_matrix = layer_norm(emb_matrix, params[f"{prefix}.ln.g"], params[f"{prefix}.ln.b"], LN_EPS)
+        emb_matrix = tz.layer_norm(emb_matrix, params[f"{prefix}.ln.g"], params[f"{prefix}.ln.b"],
+                                   LN_EPS)
     return ContextBatch(hints=hints, embeddings=emb_matrix)
+
+
+def _combine(stream: Tensor, attended: Tensor, params: ModelParams, prefix: str) -> Tensor:
+    """The combiner: linear(concat(LN(stream), LN(attended)))."""
+    s_n = tz.layer_norm(stream, params[f"{prefix}.ln_stream.g"],
+                        params[f"{prefix}.ln_stream.b"], LN_EPS)
+    c_n = tz.layer_norm(attended, params[f"{prefix}.ln_ctx.g"],
+                        params[f"{prefix}.ln_ctx.b"], LN_EPS)
+    return linear_forward(tz.concat_last([s_n, c_n]), params[f"{prefix}.w"], params[f"{prefix}.b"])
 
 
 def bias_and_combine(stream: Tensor, ctx: ContextBatch, params: ModelParams, cfg: ModelConfig,
                      bias_prefix: str, combiner_prefix: str) -> Tensor:
-    """Cross-attend the stream over hint embeddings, then combine:
-    linear(concat(LN(stream), LN(attended)))."""
-    d = stream.shape[-1]
+    """Cross-attend the stream over hint embeddings, then combine."""
     weights = params.attention(bias_prefix, cfg.cross_attention_heads,
-                               d // cfg.cross_attention_heads)
-    attended = multi_head_cross_attention(stream, ctx.embeddings, weights)
-    s_n = layer_norm(stream, params[f"{combiner_prefix}.ln_stream.g"],
-                     params[f"{combiner_prefix}.ln_stream.b"], LN_EPS)
-    c_n = layer_norm(attended, params[f"{combiner_prefix}.ln_ctx.g"],
-                     params[f"{combiner_prefix}.ln_ctx.b"], LN_EPS)
-    return linear_forward(tz.concat_last([s_n, c_n]),
-                          params[f"{combiner_prefix}.w"], params[f"{combiner_prefix}.b"])
+                               stream.shape[-1] // cfg.cross_attention_heads)
+    attended = multi_head_attention(stream, ctx.embeddings, weights)
+    return _combine(stream, attended, params, combiner_prefix)
 
 
 def predict_labels(prev_tokens: Sequence[int], params: ModelParams, cfg: ModelConfig) -> Tensor:
@@ -415,8 +408,8 @@ def predict_labels(prev_tokens: Sequence[int], params: ModelParams, cfg: ModelCo
     so distant history cannot change the state.
     """
     ids = [cfg.blank_id] + [int(t) for t in prev_tokens]
-    emb = embedding_lookup(params["shared_embedding"], ids)
-    h = causal_conv1d(emb, params["predictor.conv.k"], params["predictor.conv.b"])
+    emb = tz.take_rows(params["shared_embedding"], ids)
+    h = tz.causal_conv1d(emb, params["predictor.conv.k"], params["predictor.conv.b"])
     return tz.tanh(h)
 
 
@@ -502,18 +495,14 @@ def run_sc_loop(z_init: Tensor,
 
 
 def _joiner_side_fns(h_ac: Tensor, ctx: ContextBatch, params: ModelParams, cfg: ModelConfig):
+    weights = params.attention("bias_joiner", cfg.cross_attention_heads,
+                               cfg.joiner_dim // cfg.cross_attention_heads)
+
     def bias_fn(z):
-        weights = params.attention("bias_joiner", cfg.cross_attention_heads,
-                                   cfg.joiner_dim // cfg.cross_attention_heads)
-        return multi_head_cross_attention(z, ctx.embeddings, weights)
+        return multi_head_attention(z, ctx.embeddings, weights)
 
     def combine_fn(z, attended):
-        s_n = layer_norm(z, params["combiner_joiner.ln_stream.g"],
-                         params["combiner_joiner.ln_stream.b"], LN_EPS)
-        c_n = layer_norm(attended, params["combiner_joiner.ln_ctx.g"],
-                         params["combiner_joiner.ln_ctx.b"], LN_EPS)
-        return linear_forward(tz.concat_last([s_n, c_n]),
-                              params["combiner_joiner.w"], params["combiner_joiner.b"])
+        return _combine(z, attended, params, "combiner_joiner")
 
     def refine_fn(z0):
         return joiner_step(h_ac, z0, params)

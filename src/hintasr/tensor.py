@@ -119,29 +119,6 @@ class Tensor:
         flag = ", requires_grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    # small amount of operator sugar; the functional ops below are primary
-    def __add__(self, other):
-        return shift(self, float(other)) if isinstance(other, (int, float)) else add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return shift(self, -float(other)) if isinstance(other, (int, float)) else sub(self, other)
-
-    def __mul__(self, other):
-        return scale(self, float(other)) if isinstance(other, (int, float)) else mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return scale(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 @dataclass
 class _Node:
@@ -159,10 +136,6 @@ class GradTape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-
-    @property
-    def next_id(self) -> int:
-        return len(self.nodes)
 
     def __enter__(self) -> "GradTape":
         _tape_stack().append(self)
@@ -279,11 +252,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _make("scale", (a,), out, lambda g: (g * c,))
 
 
-def shift(a: Tensor, c: float) -> Tensor:
-    out = a.array + c
-    return _make("shift", (a,), out, lambda g: (g,))
-
-
 def neg(a: Tensor) -> Tensor:
     return _make("neg", (a,), -a.array, lambda g: (-g,))
 
@@ -296,11 +264,6 @@ def tanh(a: Tensor) -> Tensor:
 def sigmoid(a: Tensor) -> Tensor:
     y = 1.0 / (1.0 + np.exp(-a.array))
     return _make("sigmoid", (a,), y, lambda g: (g * y * (1.0 - y),))
-
-
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.array)
-    return _make("exp", (a,), y, lambda g: (g * y,))
 
 
 def clamp_min(a: Tensor, floor: float) -> Tensor:
@@ -544,35 +507,6 @@ def logaddexp(a: Tensor, b: Tensor) -> Tensor:
         return g * np.exp(av - out), g * np.exp(bv - out)
 
     return _make("logaddexp", (a, b), out, bwd)
-
-
-def logsumexp(xs) -> Tensor:
-    """Max-stabilized log-sum-exp of a sequence of scalars (or a tensor).
-
-    The empty sequence returns -inf by convention (additive identity of
-    log-space accumulation). -inf elements are themselves valid identities.
-    """
-    if isinstance(xs, Tensor):
-        if xs.size == 0:
-            return Tensor(-np.inf)
-        x = xs
-    else:
-        items = list(xs)
-        if not items:
-            return Tensor(-np.inf)
-        rows = [it if isinstance(it, Tensor) else Tensor(float(it)) for it in items]
-        x = concat_rows([reshape(r, (1, 1)) for r in rows])
-    xv = x.array.reshape(-1)
-    m = xv.max()
-    if not np.isfinite(m):
-        # all -inf (or a +inf dominates); avoid nan from inf - inf
-        return _make("logsumexp", (x,), np.asarray(m), lambda g: (np.zeros(x.shape),))
-    out = np.asarray(m + np.log(np.exp(xv - m).sum()))
-
-    def bwd(g):
-        return (float(g) * np.exp(xv - float(out)).reshape(x.shape),)
-
-    return _make("logsumexp", (x,), out, bwd)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

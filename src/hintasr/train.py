@@ -28,7 +28,13 @@ log = logging.getLogger(__name__)
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; carries a diagnostic dump of the batch."""
+    """Loss or a forward pass became non-finite; carries a diagnostic dump of the batch."""
+
+
+def _diverged(out_dir: Path, batch_dump: list, what: str) -> TrainingDiverged:
+    dump_path = out_dir / "diverged_batch.json"
+    dump_path.write_text(json.dumps(batch_dump, indent=2))
+    return TrainingDiverged(f"{what}; batch dumped to {dump_path}")
 
 
 @dataclass
@@ -173,26 +179,33 @@ def train_loop(entries: Sequence[ManifestEntry], negative_pool: Sequence[str],
                 sample = sample_for_entry(entry, epoch, settings.type_weights,
                                           vocab, synth_cfg, negative_pool)
                 hint_tokens = [tokenize(h, vocab) for h in sample.hints]
-                with GradTape() as tape:
-                    grid, diag = forward_grid(sample.features, sample.target_tokens,
-                                              hint_tokens, params, model_cfg, mode="train")
-                    loss = transducer_nll(grid)
-                    total = loss
-                    penalty_val = 0.0
-                    if settings.sc_consistency_weight > 0 and len(diag.iterates) > 2:
-                        # teach the loop to settle: consecutive refinements from
-                        # iteration 2 on must agree (iteration 1 stays free, it
-                        # is the one that injects the hint context)
-                        penalty = None
-                        for a, b in zip(diag.iterates[1:-1], diag.iterates[2:]):
-                            gap = tz.sub(b, a)
-                            term = tz.mean_all(tz.mul(gap, gap))
-                            penalty = term if penalty is None else tz.add(penalty, term)
-                        penalty = tz.scale(penalty, 1.0 / (len(diag.iterates) - 2))
-                        total = tz.add(loss, tz.scale(penalty, settings.sc_consistency_weight))
-                        penalty_val = penalty.item()
-                    batch_penalties.append(penalty_val)
-                    backward(tape, total)
+                try:
+                    with GradTape() as tape:
+                        grid, diag = forward_grid(sample.features, sample.target_tokens,
+                                                  hint_tokens, params, model_cfg, mode="train")
+                        loss = transducer_nll(grid)
+                        total = loss
+                        penalty_val = 0.0
+                        if settings.sc_consistency_weight > 0 and len(diag.iterates) > 2:
+                            # teach the loop to settle: consecutive refinements from
+                            # iteration 2 on must agree (iteration 1 stays free, it
+                            # is the one that injects the hint context)
+                            penalty = None
+                            for a, b in zip(diag.iterates[1:-1], diag.iterates[2:]):
+                                gap = tz.sub(b, a)
+                                term = tz.mean_all(tz.mul(gap, gap))
+                                penalty = term if penalty is None else tz.add(penalty, term)
+                            penalty = tz.scale(penalty, 1.0 / (len(diag.iterates) - 2))
+                            total = tz.add(loss, tz.scale(penalty, settings.sc_consistency_weight))
+                            penalty_val = penalty.item()
+                        batch_penalties.append(penalty_val)
+                        backward(tape, total)
+                except FloatingPointError as e:
+                    batch_dump.append({"utterance_id": entry.utterance_id, "text": entry.text,
+                                       "type": sample.sample_type, "hints": sample.hints,
+                                       "error": str(e)})
+                    what = f"non-finite forward pass at step {global_step} ({e})"
+                    raise _diverged(out_dir, batch_dump, what) from None
                 batch_losses.append(loss.item())
                 batch_dump.append({"utterance_id": entry.utterance_id,
                                    "text": entry.text, "type": sample.sample_type,
@@ -200,10 +213,7 @@ def train_loop(entries: Sequence[ManifestEntry], negative_pool: Sequence[str],
             mean_loss = float(np.mean(batch_losses))
             mean_penalty = float(np.mean(batch_penalties))
             if not np.isfinite(mean_loss):
-                dump_path = out_dir / "diverged_batch.json"
-                dump_path.write_text(json.dumps(batch_dump, indent=2))
-                raise TrainingDiverged(
-                    f"non-finite loss at step {global_step}; batch dumped to {dump_path}")
+                raise _diverged(out_dir, batch_dump, f"non-finite loss at step {global_step}")
             # grads accumulated one utterance at a time; rescale to the batch mean
             inv_b = 1.0 / len(batch_ids)
             for _, t in params.items():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import hintasr.cli as cli
+from hintasr.checkpoint import load_checkpoint, save_checkpoint
 from hintasr.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from hintasr.train import TrainingDiverged, TrainSettings
 
@@ -214,8 +215,11 @@ class TestProbe:
         for r in rows:
             assert np.isfinite(r["avg_max_diff"]) and np.isfinite(r["avg_mean_diff"])
             assert r["max_diff_ci95"] >= 0.0
+        exited = [r["exited_frac"] for r in rows]
+        assert exited[0] == 0.0  # the loop never exits at iteration 1
+        assert all(0.0 <= a <= b <= 1.0 for a, b in zip(exited, exited[1:]))
         table = capsys.readouterr().out
-        assert "avg mean diff" in table
+        assert "avg mean diff" in table and "exited" in table
 
     def test_missing_checkpoint_usage_error(self, workspace, tmp_path):
         root, cfg_path = workspace
@@ -317,6 +321,59 @@ class TestBadOperatorInput:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "train_manifest.jsonl" in err and "no entries" in err
         assert not (tmp_path / "run").exists()
+
+
+    @pytest.mark.parametrize("flag,value", [("--resamples", "1"), ("--resamples", "0"),
+                                            ("--cells", "0")])
+    def test_probe_needs_two_resamples_and_a_cell(self, workspace, tmp_path, capsys, flag, value):
+        root, cfg_path = workspace
+        capsys.readouterr()
+        rc = main(["--config", str(cfg_path), "probe-convergence",
+                   "--checkpoint", str(root / "run" / "checkpoint.scj"),
+                   "--manifest", str(root / "data" / "test_manifest.jsonl"),
+                   flag, value, "--out", str(tmp_path / "probe.json")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert flag in err
+        assert not (tmp_path / "probe.json").exists()
+
+
+@pytest.fixture(scope="module")
+def nan_checkpoint(workspace, tmp_path_factory):
+    """The workspace checkpoint with one NaN in the encoder's input projection."""
+    root, _ = workspace
+    params, cfg, extras, meta = load_checkpoint(root / "run" / "checkpoint.scj")
+    params["encoder.in_proj.w"].data[0] = np.nan
+    path = tmp_path_factory.mktemp("nan") / "nan.scj"
+    save_checkpoint(path, params, cfg, extras=extras, meta=meta)
+    return path
+
+
+class TestNonFiniteCheckpoint:
+    def test_decode_exits_2_with_one_line(self, workspace, nan_checkpoint, tmp_path, capsys):
+        root, cfg_path = workspace
+        capsys.readouterr()
+        rc = main(["--config", str(cfg_path), "decode", "--checkpoint", str(nan_checkpoint),
+                   "--manifest", str(root / "data" / "test_manifest.jsonl"),
+                   "--out", str(tmp_path / "dec"), "--mode", "none"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_RUNTIME
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "non-finite" in err
+
+    def test_resume_training_diverges_with_batch_dump(self, workspace, nan_checkpoint, tmp_path,
+                                                       capsys):
+        root, cfg_path = workspace
+        capsys.readouterr()
+        rc = main(["--config", str(cfg_path), "train", "--data", str(root / "data"),
+                   "--out", str(tmp_path / "run"), "--steps", "2",
+                   "--resume", str(nan_checkpoint)])
+        assert rc == EXIT_RUNTIME
+        assert "Traceback" not in capsys.readouterr().err
+        dump = json.loads((tmp_path / "run" / "diverged_batch.json").read_text())
+        assert "non-finite" in dump[-1]["error"]
+        assert not (tmp_path / "run" / "checkpoint.scj").exists()
 
 
 class TestCorruptCheckpoint:

@@ -1,5 +1,6 @@
-"""NN layer contracts: linear, layer norm, embedding, convs, BLSTM,
-cross-attention over hint embeddings."""
+"""NN layer contracts: linear, layer norm, embedding, convs, BLSTM, and the
+multi-head attention (masked self-attention and cross-attention over hint
+embeddings)."""
 
 import numpy as np
 import pytest
@@ -10,13 +11,11 @@ from hintasr.layers import (
     AttentionWeights,
     LstmCellWeights,
     blstm_encode,
-    causal_conv1d,
-    embedding_lookup,
-    layer_norm,
     linear_forward,
-    multi_head_cross_attention,
+    multi_head_attention,
 )
-from hintasr.tensor import ContractError, GradTape, ShapeError, Tensor, backward, finite_diff_grad
+from hintasr.tensor import (NEG_CAP, ContractError, GradTape, ShapeError, Tensor, backward,
+                             finite_diff_grad)
 
 
 class TestLinear:
@@ -43,16 +42,17 @@ class TestLinear:
 
 class TestLayerNorm:
     def test_constant_slice_collapses_to_beta(self):
-        out = layer_norm(Tensor([5.0, 5.0, 5.0, 5.0]), Tensor(np.ones(4)), Tensor(np.zeros(4)), 1e-5)
+        out = tz.layer_norm(Tensor([5.0, 5.0, 5.0, 5.0]), Tensor(np.ones(4)), Tensor(np.zeros(4)),
+                            1e-5)
         assert np.abs(out.array).max() < 1e-8
 
     def test_already_normalized(self):
-        out = layer_norm(Tensor([1.0, -1.0]), Tensor(np.ones(2)), Tensor(np.zeros(2)), 1e-5)
+        out = tz.layer_norm(Tensor([1.0, -1.0]), Tensor(np.ones(2)), Tensor(np.zeros(2)), 1e-5)
         assert np.allclose(out.array, [1.0, -1.0], atol=1e-5)
 
     def test_random_slice_stats(self, rng):
         x = random_tensor(rng, (4, 16), requires_grad=False)
-        out = layer_norm(x, Tensor(np.ones(16)), Tensor(np.zeros(16)), 1e-5).array
+        out = tz.layer_norm(x, Tensor(np.ones(16)), Tensor(np.zeros(16)), 1e-5).array
         assert np.abs(out.mean(axis=-1)).max() <= 1e-10
         assert np.abs(out.var(axis=-1) - 1.0).max() <= 1e-4
 
@@ -60,13 +60,13 @@ class TestLayerNorm:
 class TestEmbedding:
     def test_first_row(self, rng):
         table = random_tensor(rng, (5, 3), requires_grad=False)
-        out = embedding_lookup(table, [0])
+        out = tz.take_rows(table, [0])
         assert np.array_equal(out.array[0], table.array[0])
 
     def test_duplicate_ids_accumulate_grad(self, rng):
         table = random_tensor(rng, (5, 3))
         with GradTape() as tape:
-            out = embedding_lookup(table, [2, 2])
+            out = tz.take_rows(table, [2, 2])
             backward(tape, tz.sum_all(out))
         g = table.grad_array()
         assert np.array_equal(g[2], 2 * np.ones(3))
@@ -75,12 +75,12 @@ class TestEmbedding:
     def test_out_of_range_names_id(self, rng):
         table = random_tensor(rng, (5, 3), requires_grad=False)
         with pytest.raises(IndexError, match="7"):
-            embedding_lookup(table, [1, 7])
+            tz.take_rows(table, [1, 7])
 
     def test_gradient(self, rng):
         table = random_tensor(rng, (6, 4))
         w = Tensor(rng.uniform(-1, 1, size=(3, 4)))
-        check_gradient(lambda t: tz.sum_all(tz.mul(embedding_lookup(t, [1, 4, 1]), w)),
+        check_gradient(lambda t: tz.sum_all(tz.mul(tz.take_rows(t, [1, 4, 1]), w)),
                        table, what="embedding")
 
 
@@ -88,7 +88,7 @@ class TestCausalConv:
     def test_kernel1_identity_mapping(self, rng):
         x = random_tensor(rng, (5, 3), requires_grad=False)
         kernel = Tensor(np.eye(3)[None, :, :])
-        out = causal_conv1d(x, kernel, Tensor(np.zeros(3)))
+        out = tz.causal_conv1d(x, kernel, Tensor(np.zeros(3)))
         assert np.allclose(out.array, x.array, atol=1e-15)
 
     def test_impulse_response_reproduces_taps(self, rng):
@@ -98,7 +98,7 @@ class TestCausalConv:
         kernel = Tensor(taps.reshape(k, 1, 1))
         x = np.zeros((6, 1))
         x[0, 0] = 1.0
-        out = causal_conv1d(Tensor(x), kernel, Tensor(np.zeros(1))).array[:, 0]
+        out = tz.causal_conv1d(Tensor(x), kernel, Tensor(np.zeros(1))).array[:, 0]
         # out[t] = sum_j x[t-k+1+j] * taps[j] -> impulse picks taps reversed in time
         assert np.allclose(out[:k], taps[::-1], atol=1e-15)
         assert np.abs(out[k:]).max() == 0.0
@@ -107,11 +107,11 @@ class TestCausalConv:
         x = rng.uniform(-1, 1, size=(7, 4))
         kernel = random_tensor(rng, (3, 4, 2), requires_grad=False)
         bias = random_tensor(rng, (2,), requires_grad=False)
-        base = causal_conv1d(Tensor(x), kernel, bias).array
+        base = tz.causal_conv1d(Tensor(x), kernel, bias).array
         t0 = 4
         pert = x.copy()
         pert[t0:] += rng.uniform(0.5, 1.0, size=pert[t0:].shape)
-        out = causal_conv1d(Tensor(pert), kernel, bias).array
+        out = tz.causal_conv1d(Tensor(pert), kernel, bias).array
         assert np.array_equal(base[:t0], out[:t0])
         assert not np.array_equal(base[t0:], out[t0:])
 
@@ -196,8 +196,8 @@ class TestCrossAttention:
         k = random_tensor(rng, (1, 4), requires_grad=False)
         q1 = random_tensor(rng, (3, 4), requires_grad=False)
         q2 = random_tensor(rng, (3, 4), requires_grad=False)
-        o1 = multi_head_cross_attention(q1, k, w).array
-        o2 = multi_head_cross_attention(q2, k, w).array
+        o1 = multi_head_attention(q1, k, w).array
+        o2 = multi_head_attention(q2, k, w).array
         expected = np.concatenate([k.array @ w.w_v[h].array for h in range(2)], axis=-1)
         assert np.allclose(o1, o2, atol=1e-12)
         assert np.allclose(o1, np.tile(expected, (3, 1)), atol=1e-12)
@@ -212,7 +212,7 @@ class TestCrossAttention:
             num_heads=heads, head_dim=hd)
         q = random_tensor(rng, (3, 4), requires_grad=False)
         k = random_tensor(rng, (5, 4), requires_grad=False)
-        out = multi_head_cross_attention(q, k, w).array
+        out = multi_head_attention(q, k, w).array
         expected = np.concatenate(
             [np.tile((k.array @ w.w_v[h].array).mean(axis=0), (3, 1)) for h in range(heads)], axis=-1)
         assert np.allclose(out, expected, atol=1e-12)
@@ -220,33 +220,37 @@ class TestCrossAttention:
     def test_empty_keys_rejected(self, rng):
         w = _attention(rng, 4, 2)
         with pytest.raises(ContractError):
-            multi_head_cross_attention(Tensor(np.zeros((2, 4))), Tensor(np.zeros((0, 4))), w)
+            multi_head_attention(Tensor(np.zeros((2, 4))), Tensor(np.zeros((0, 4))), w)
 
     def test_key_permutation_invariance(self, rng):
         w = _attention(rng, 6, 2)
         q = random_tensor(rng, (4, 6), requires_grad=False)
         k = random_tensor(rng, (5, 6), requires_grad=False)
-        base = multi_head_cross_attention(q, k, w).array
+        base = multi_head_attention(q, k, w).array
         perm = rng.permutation(5)
-        out = multi_head_cross_attention(q, Tensor(k.array[perm]), w).array
+        out = multi_head_attention(q, Tensor(k.array[perm]), w).array
         assert np.abs(out - base).max() <= 1e-12
 
     def test_matches_hand_formula(self, rng):
         # direct numpy transcription of the attention expression, including
-        # the 1/sqrt(head_dim) score scale and concat-without-projection
+        # the 1/sqrt(head_dim) score scale, the additive mask applied after
+        # that scale, and concat-without-projection
         w = _attention(rng, 4, 2)
         q = random_tensor(rng, (3, 4), requires_grad=False)
         k = random_tensor(rng, (5, 4), requires_grad=False)
-        out = multi_head_cross_attention(q, k, w).array
-        parts = []
-        for h in range(2):
-            qh = q.array @ w.w_q[h].array
-            kh = k.array @ w.w_k[h].array
-            vh = k.array @ w.w_v[h].array
-            s = qh @ kh.T / np.sqrt(w.head_dim)
-            e = np.exp(s - s.max(axis=-1, keepdims=True))
-            parts.append((e / e.sum(axis=-1, keepdims=True)) @ vh)
-        assert np.allclose(out, np.concatenate(parts, axis=-1), atol=1e-13)
+        mask = rng.uniform(-1, 1, size=(3, 5))
+        mask[np.triu_indices(3, k=1)] = NEG_CAP  # hide some keys from some queries
+        for m in (None, mask):
+            out = multi_head_attention(q, k, w, None if m is None else Tensor(m)).array
+            parts = []
+            for h in range(2):
+                qh = q.array @ w.w_q[h].array
+                kh = k.array @ w.w_k[h].array
+                vh = k.array @ w.w_v[h].array
+                s = qh @ kh.T / np.sqrt(w.head_dim) + (0.0 if m is None else m)
+                e = np.exp(s - s.max(axis=-1, keepdims=True))
+                parts.append((e / e.sum(axis=-1, keepdims=True)) @ vh)
+            assert np.allclose(out, np.concatenate(parts, axis=-1), atol=1e-13)
 
     def test_row_stochastic_scores(self, rng):
         # scores exposed indirectly: attention of a one-hot value basis recovers rows
@@ -267,9 +271,9 @@ class TestCrossAttention:
         q = random_tensor(rng, (2, 4))
         k = random_tensor(rng, (3, 4))
         probe = Tensor(rng.uniform(-1, 1, size=(2, 4)))
-        check_gradient(lambda t: tz.sum_all(tz.mul(multi_head_cross_attention(t, k, w), probe)),
+        check_gradient(lambda t: tz.sum_all(tz.mul(multi_head_attention(t, k, w), probe)),
                        q, what="attention q")
-        check_gradient(lambda t: tz.sum_all(tz.mul(multi_head_cross_attention(q, t, w), probe)),
+        check_gradient(lambda t: tz.sum_all(tz.mul(multi_head_attention(q, t, w), probe)),
                        k, what="attention k")
         wq0 = w.w_q[0]
 
@@ -277,13 +281,13 @@ class TestCrossAttention:
             old = wq0.data.copy()
             wq0.data[:] = t.data
             try:
-                return tz.sum_all(tz.mul(multi_head_cross_attention(q, k, w), probe))
+                return tz.sum_all(tz.mul(multi_head_attention(q, k, w), probe))
             finally:
                 wq0.data[:] = old
 
         wq0.zero_grad()  # grads accumulate additively across backward calls
         with GradTape() as tape:
-            backward(tape, tz.sum_all(tz.mul(multi_head_cross_attention(q, k, w), probe)))
+            backward(tape, tz.sum_all(tz.mul(multi_head_attention(q, k, w), probe)))
         fd = finite_diff_grad(f_param, Tensor(wq0.numpy()))
         assert_grads_close(wq0.grad, fd.data, what="attention wq")
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hintasr.metrics import (
     WerCounts,
@@ -10,6 +12,17 @@ from hintasr.metrics import (
     werr,
     word_error_rate,
 )
+
+
+def levenshtein(a, b):
+    """Two-row dynamic-programming edit distance with unit costs."""
+    prev = list(range(len(b) + 1))
+    for i, x in enumerate(a, 1):
+        cur = [i]
+        for j, y in enumerate(b, 1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y)))
+        prev = cur
+    return prev[-1]
 
 
 def brute_force_distance(a, b):
@@ -57,6 +70,16 @@ class TestWer:
             hyp = [words[i] for i in rng.integers(0, 4, size=rng.integers(0, 7))]
             _, counts = word_error_rate(" ".join(hyp), " ".join(ref))
             assert counts.errors == brute_force_distance(ref, hyp)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ref=st.lists(st.sampled_from(["a", "b", "ab", "cat", "kat"]), max_size=12),
+           hyp=st.lists(st.sampled_from(["a", "b", "ab", "cat", "kat"]), max_size=12),
+           sep=st.sampled_from([" ", "  ", "\t", " \n "]))
+    def test_error_count_equals_levenshtein_property(self, ref, hyp, sep):
+        _, counts = word_error_rate(sep.join(hyp), sep + sep.join(ref))
+        assert counts.errors == levenshtein(ref, hyp)
+        assert counts.ref_words == len(ref)
+        assert counts.insertions - counts.deletions == len(hyp) - len(ref)
 
 
 class TestWerr:

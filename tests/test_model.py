@@ -6,7 +6,7 @@ import pytest
 
 from conftest import TINY, assert_grads_close, check_gradient, random_tensor
 from hintasr import tensor as tz
-from hintasr.layers import layer_norm
+from hintasr.layers import multi_head_attention
 from hintasr.loss import transducer_nll
 from hintasr.model import (
     ContextBatch,
@@ -147,8 +147,7 @@ class TestBiasAndCombine:
         # between output rows comes only from the stream branch
         weights = params.attention("bias_audio", cfg.cross_attention_heads,
                                    cfg.encoder_dim // cfg.cross_attention_heads)
-        from hintasr.layers import multi_head_cross_attention
-        attended = multi_head_cross_attention(stream, ctx.embeddings, weights).array
+        attended = multi_head_attention(stream, ctx.embeddings, weights).array
         assert np.abs(attended - attended[0]).max() <= 1e-15
 
     def test_identity_projection_recovers_layer_norm(self, cfg, params, rng):
@@ -163,7 +162,7 @@ class TestBiasAndCombine:
         stream = random_tensor(rng, (4, d), requires_grad=False)
         ctx = encode_context([[1, 2]], p, cfg, side="audio")
         out = bias_and_combine(stream, ctx, p, cfg, "bias_audio", "combiner_audio").array
-        expected = layer_norm(stream, Tensor(np.ones(d)), Tensor(np.zeros(d)), 1e-5).array
+        expected = tz.layer_norm(stream, Tensor(np.ones(d)), Tensor(np.zeros(d)), 1e-5).array
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_gradient_end_to_end(self, cfg, params, rng):
@@ -369,7 +368,6 @@ class TestSelfConsistentJoiner:
         assert diag_a.mean_diffs == diag_b.mean_diffs
 
         # independent duplicate of the loop written against layer primitives
-        from hintasr.layers import multi_head_cross_attention
         z = z_init.array.reshape(1, -1).copy()
         z_prev = z.copy()
         means = []
@@ -377,11 +375,11 @@ class TestSelfConsistentJoiner:
                                    cfg.joiner_dim // cfg.cross_attention_heads)
         with tz.no_grad():
             for n in range(1, 5):
-                h_w = multi_head_cross_attention(Tensor(z), ctx.embeddings, weights)
-                s_n = layer_norm(Tensor(z), params["combiner_joiner.ln_stream.g"],
-                                 params["combiner_joiner.ln_stream.b"], 1e-5)
-                c_n = layer_norm(h_w, params["combiner_joiner.ln_ctx.g"],
-                                 params["combiner_joiner.ln_ctx.b"], 1e-5)
+                h_w = multi_head_attention(Tensor(z), ctx.embeddings, weights)
+                s_n = tz.layer_norm(Tensor(z), params["combiner_joiner.ln_stream.g"],
+                                    params["combiner_joiner.ln_stream.b"], 1e-5)
+                c_n = tz.layer_norm(h_w, params["combiner_joiner.ln_ctx.g"],
+                                    params["combiner_joiner.ln_ctx.b"], 1e-5)
                 cat = np.concatenate([s_n.array, c_n.array], axis=-1)
                 z = cat @ params["combiner_joiner.w"].array + params["combiner_joiner.b"].array
                 means.append(float((z - z_prev).mean()))

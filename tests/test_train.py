@@ -1,7 +1,12 @@
 """Optimizer behavior, training-loop determinism, and checkpoint round-trips."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hintasr.train as train_mod
 from conftest import TINY
@@ -199,6 +204,59 @@ class TestCheckpoint:
                                   small_settings(steps=2), SYNTH, VOCAB, tmp_path / "r2",
                                   params=loaded, optim_state=restored)
         assert state2.step == 5
+
+
+@st.composite
+def small_configs(draw):
+    c = draw(st.integers(1, 3))  # the biasing layers need 2*context_dim == encoder/joiner dim
+    return ModelConfig(
+        vocab_size=draw(st.integers(2, 6)), feature_dim=draw(st.integers(1, 4)),
+        num_encoder_layers=draw(st.integers(1, 2)), encoder_dim=2 * c, joiner_dim=2 * c,
+        context_dim=c, feedforward_dim=draw(st.integers(1, 5)),
+        self_attention_heads=draw(st.sampled_from([1, 2])),
+        cross_attention_heads=draw(st.sampled_from([1, 2])),
+        predictor_kernel=draw(st.integers(2, 4)), context_blstm_layers=draw(st.integers(1, 2)),
+        max_sc_iters=draw(st.integers(1, 4)), sc_threshold=draw(st.floats(1e-12, 1.0)),
+        context_layernorm_enabled=draw(st.booleans()),
+        max_symbols_per_frame=draw(st.integers(1, 5)))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=small_configs(), seed=st.integers(0, 2**16),
+       specials=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=6),
+       extras=st.dictionaries(st.text("abxyz._0", min_size=1, max_size=6),
+                              st.lists(st.integers(0, 3), max_size=2), max_size=4),
+       meta=st.dictionaries(st.text(max_size=5),
+                            st.one_of(st.integers(-10**6, 10**6), st.text(max_size=5),
+                                      st.booleans(), st.floats(allow_nan=False)),
+                            max_size=4))
+def test_checkpoint_round_trip_property(cfg, seed, specials, extras, meta):
+    params = init_params(cfg, seed=seed)
+    out_b = params["output.b"].data
+    n = min(len(specials), out_b.size)
+    out_b[:n] = specials[:n]  # NaN, inf, -0.0 and subnormals must survive bit for bit
+    rng = np.random.default_rng(seed)
+    extra_arrays = {name: rng.normal(size=tuple(shape)) for name, shape in extras.items()}
+    with tempfile.TemporaryDirectory() as d:
+        first, second, again = Path(d) / "a.scj", Path(d) / "b.scj", Path(d) / "c.scj"
+        save_checkpoint(first, params, cfg, extras=extra_arrays, meta=meta)
+        save_checkpoint(second, params, cfg, extras=extra_arrays, meta=meta)
+        assert first.read_bytes() == second.read_bytes()
+        loaded, cfg2, extras2, meta2 = load_checkpoint(first)
+        assert cfg2 == cfg
+        assert meta2 == meta
+        assert loaded.names() == params.names()
+        for name, t in params.items():
+            assert _same_bits(loaded[name].array, t.array), name
+        assert extras2.keys() == extra_arrays.keys()
+        for name, arr in extra_arrays.items():
+            assert _same_bits(extras2[name], arr), name
+        save_checkpoint(again, loaded, cfg2, extras=extras2, meta=meta2)
+        assert again.read_bytes() == first.read_bytes()
 
 
 class TestAtomicCheckpointWrite:
